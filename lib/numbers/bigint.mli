@@ -5,8 +5,16 @@
     ([Smt]), where simplex pivoting can produce coefficients that overflow
     native integers.
 
-    Values are immutable. The representation is sign-magnitude with the
-    magnitude stored little-endian in base [2^30]. *)
+    Values are immutable and use zarith's representation. A value [v] with
+    [|v| < 2^61] is an immediate OCaml [int], so arithmetic on machine-sized
+    values runs natively and allocates nothing; [add], [sub] and [mul]
+    promote to the boxed form only when a result leaves that range. Any
+    larger value is a boxed sign-magnitude block, its magnitude stored
+    little-endian in base [2^30]. Every operation demotes a boxed result
+    that fits back to an immediate, so each integer has exactly one
+    representation. That is why polymorphic [=] and [Hashtbl.hash] agree
+    with {!equal} on these values and on structures built from them. Their
+    ordering under polymorphic [compare] is not numeric: use {!compare}. *)
 
 type t
 

@@ -1,12 +1,15 @@
 type t = { num : Bigint.t; den : Bigint.t }
 
+(* Every integer is already in lowest terms over 1. *)
 let make num den =
-  if Bigint.is_zero den then raise Division_by_zero;
-  if Bigint.is_zero num then { num = Bigint.zero; den = Bigint.one }
+  if Bigint.equal den Bigint.one then { num; den }
+  else if Bigint.is_zero den then raise Division_by_zero
+  else if Bigint.is_zero num then { num = Bigint.zero; den = Bigint.one }
   else begin
     let num, den = if Bigint.sign den < 0 then (Bigint.neg num, Bigint.neg den) else (num, den) in
     let g = Bigint.gcd num den in
-    { num = Bigint.div num g; den = Bigint.div den g }
+    if Bigint.equal g Bigint.one then { num; den }
+    else { num = Bigint.div num g; den = Bigint.div den g }
   end
 
 let zero = { num = Bigint.zero; den = Bigint.one }
@@ -24,8 +27,10 @@ let sign q = Bigint.sign q.num
 let is_zero q = Bigint.is_zero q.num
 let is_integer q = Bigint.equal q.den Bigint.one
 
+(* Integers (denominator one) skip the cross-multiplication and gcd. *)
 let compare a b =
-  Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.den)
+  if is_integer a && is_integer b then Bigint.compare a.num b.num
+  else Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.den)
 
 let equal a b = compare a b = 0
 let min a b = if compare a b <= 0 then a else b
@@ -35,12 +40,17 @@ let neg q = { q with num = Bigint.neg q.num }
 let abs q = { q with num = Bigint.abs q.num }
 
 let add a b =
-  make
-    (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
-    (Bigint.mul a.den b.den)
+  if is_integer a && is_integer b then of_bigint (Bigint.add a.num b.num)
+  else
+    make
+      (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
+      (Bigint.mul a.den b.den)
 
 let sub a b = add a (neg b)
-let mul a b = make (Bigint.mul a.num b.num) (Bigint.mul a.den b.den)
+
+let mul a b =
+  if is_integer a && is_integer b then of_bigint (Bigint.mul a.num b.num)
+  else make (Bigint.mul a.num b.num) (Bigint.mul a.den b.den)
 
 let inv q =
   if is_zero q then raise Division_by_zero;

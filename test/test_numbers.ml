@@ -16,7 +16,12 @@ let test_of_to_int () =
   List.iter
     (fun n -> Alcotest.(check (option int)) (string_of_int n) (Some n) (B.to_int (B.of_int n)))
     [ 0; 1; -1; 42; -42; 1 lsl 30; (1 lsl 30) - 1; 1 lsl 45; -(1 lsl 45);
-      max_int / 2; min_int / 2; (1 lsl 62) - 1; -((1 lsl 62) - 1) ]
+      max_int / 2; min_int / 2; (1 lsl 62) - 1; -((1 lsl 62) - 1); max_int; min_int ];
+  let p62 = B.pow B.two 62 in
+  Alcotest.(check (option int)) "2^62" None (B.to_int p62);
+  Alcotest.(check bool) "2^62 does not fit" false (B.fits_int p62);
+  Alcotest.(check (option int)) "-2^62" (Some min_int) (B.to_int (B.neg p62));
+  Alcotest.(check bool) "-2^62 fits" true (B.fits_int (B.neg p62))
 
 let test_string_roundtrip () =
   List.iter
@@ -119,6 +124,34 @@ let test_fits_int () =
   Alcotest.(check bool) "2^200 does not" false (B.fits_int (B.pow B.two 200));
   Alcotest.(check (option int)) "to_int big" None (B.to_int (B.pow B.two 200))
 
+(* [hash] feeds Linexpr's hash and the solver's atom tables, and
+   [to_string] feeds the discharge cache's fingerprints, so both are
+   pinned to the values the sign-magnitude representation produced. *)
+let test_hash_string_pinned () =
+  let p = B.pow B.two in
+  List.iter
+    (fun (name, x, h, str) ->
+      Alcotest.(check int) ("hash " ^ name) h (B.hash x);
+      Alcotest.(check string) ("to_string " ^ name) str (B.to_string x))
+    [ ("0", B.zero, 7, "0");
+      ("1", B.one, 249, "1");
+      ("-1", B.minus_one, 187, "-1");
+      ("123456789", B.of_int 123456789, 123457037, "123456789");
+      ("2^30", p 30, 7689, "1073741824");
+      ("2^40", p 40, 8712, "1099511627776");
+      ("2^60", p 60, 238329, "1152921504606846976");
+      ("2^61-1", B.pred (p 61), 1065152126745, "2305843009213693951");
+      ("-(2^61-1)", B.neg (B.pred (p 61)), 1065152067163, "-2305843009213693951");
+      ("2^61", p 61, 238330, "2305843009213693952");
+      ("-2^61", B.neg (p 61), 178748, "-2305843009213693952");
+      ("max_int", B.of_int max_int, 1065152126747, "4611686018427387903");
+      ("min_int", B.of_int min_int, 178750, "-4611686018427387904");
+      ("2^62", p 62, 238332, "4611686018427387904");
+      ("2^100", p 100, 7389192, "1267650600228229401496703205376");
+      ("-3^50", B.neg (B.pow (B.of_int 3) 50), 276109622073, "-717897987691852588770249");
+      ("10^30+7", B.add (B.pow (B.of_int 10) 30) (B.of_int 7), 442828862125,
+       "1000000000000000000000000000007") ]
+
 (* ------------------------------------------------------------------ *)
 (* Bigint property tests.                                              *)
 
@@ -133,6 +166,117 @@ let arb_big =
     QCheck.(triple int int bool)
 
 let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
+
+(* Operands within a few units of the places where a representation can
+   change: the 2^30 digit and fast-multiply bound, 2^31, the 2^61
+   immediate bound, 2^62 and the native [max_int]/[min_int]; either sign.
+   Mixed with small and multi-limb operands so that every pairing of
+   forms is drawn. *)
+let arb_edge =
+  let centers =
+    [ B.zero; B.pow B.two 30; B.pow B.two 31; B.pow B.two 61; B.pow B.two 62;
+      B.of_int max_int; B.of_int min_int ]
+  in
+  let edge =
+    QCheck.Gen.(
+      map3
+        (fun c k neg ->
+          let v = B.add c (B.of_int k) in
+          if neg then B.neg v else v)
+        (oneofl centers) (int_range (-4) 4) bool)
+  in
+  QCheck.make ~print:B.to_string
+    QCheck.Gen.(
+      frequency
+        [ (6, edge); (1, map B.of_int (QCheck.gen arb_small_int)); (1, QCheck.gen arb_big) ])
+
+(* 2^70 is multi-limb in any representation: shifting an operand by it
+   and back routes an operation through the multi-limb code, which must
+   agree with the machine-int path. *)
+let far = B.pow B.two 70
+
+let native_add x y =
+  let s = x + y in
+  if (x >= 0) = (y >= 0) && (s >= 0) <> (x >= 0) then None else Some s
+
+let native_mul x y =
+  if x = 0 then Some 0
+  else
+    let p = x * y in
+    if p / x <> y || (x = -1 && y = min_int) then None else Some p
+
+(* [Some] result of a native oracle when both operands are native ints. *)
+let oracle f a b =
+  match (B.to_int a, B.to_int b) with Some x, Some y -> f x y | _ -> None
+
+let same a b = B.equal a b && a = b && B.to_string a = B.to_string b
+
+let edge_props =
+  let pair = QCheck.pair arb_edge arb_edge in
+  [
+    prop "edge add matches multi-limb path and int oracle" 2000 pair (fun (a, b) ->
+        let s = B.add a b in
+        same s (B.sub (B.add (B.add a far) b) far)
+        && B.equal (B.sub s b) a
+        && match oracle native_add a b with Some n -> same s (B.of_int n) | None -> true);
+    prop "edge sub matches multi-limb path and int oracle" 2000 pair (fun (a, b) ->
+        let d = B.sub a b in
+        same d (B.sub (B.sub (B.add a far) b) far)
+        && B.equal (B.add d b) a
+        && match oracle (fun x y -> native_add x (-y)) a b with
+           | Some n when b <> B.of_int min_int -> same d (B.of_int n)
+           | _ -> true);
+    prop "edge mul matches multi-limb path and int oracle" 2000 pair (fun (a, b) ->
+        let p = B.mul a b in
+        same p (B.sub (B.mul (B.add a far) b) (B.mul far b))
+        && same p (B.mul b a)
+        && match oracle native_mul a b with Some n -> same p (B.of_int n) | None -> true);
+    prop "edge divmod truncates" 2000 pair (fun (a, b) ->
+        QCheck.assume (not (B.is_zero b));
+        let q, r = B.divmod a b in
+        same a (B.add (B.mul q b) r)
+        && B.compare (B.abs r) (B.abs b) < 0
+        && (B.is_zero r || B.sign r = B.sign a)
+        && same q (B.div a b) && same r (B.rem a b)
+        && match oracle (fun x y -> if x = min_int && y = -1 then None else Some (x / y, x mod y)) a b with
+           | Some (nq, nr) -> same q (B.of_int nq) && same r (B.of_int nr)
+           | None -> true);
+    prop "edge ediv_emod is euclidean" 2000 pair (fun (a, b) ->
+        QCheck.assume (not (B.is_zero b));
+        let q, r = B.ediv_emod a b in
+        same a (B.add (B.mul q b) r) && B.sign r >= 0 && B.compare r (B.abs b) < 0);
+    prop "edge gcd divides both, cofactors coprime" 2000 pair (fun (a, b) ->
+        let g = B.gcd a b in
+        if B.is_zero a && B.is_zero b then B.is_zero g
+        else
+          B.sign g > 0
+          && B.is_zero (B.rem a g) && B.is_zero (B.rem b g)
+          && same (B.gcd (B.div a g) (B.div b g)) B.one
+          && same g (B.gcd b a));
+    prop "edge compare is the sign of the difference" 2000 pair (fun (a, b) ->
+        let c = B.compare a b in
+        c = B.sign (B.sub a b)
+        && c = -B.compare b a
+        && match oracle (fun x y -> Some (compare x y)) a b with Some n -> c = n | None -> true);
+    prop "edge to_string/of_string round trip" 2000 arb_edge (fun a ->
+        let s = B.to_string a in
+        same (B.of_string s) a
+        && match B.to_int a with Some n -> s = string_of_int n | None -> true);
+    prop "edge fits_int is exactly [min_int, max_int]" 2000 arb_edge (fun a ->
+        let inside =
+          B.compare a (B.of_int min_int) >= 0 && B.compare a (B.of_int max_int) <= 0
+        in
+        B.fits_int a = inside
+        && match B.to_int a with Some n -> inside && same (B.of_int n) a | None -> not inside);
+    prop "canonical form survives a multi-limb detour" 2000
+      QCheck.(pair arb_small_int arb_edge) (fun (n, e) ->
+        let back x = B.sub (B.add x far) far in
+        let x = B.of_int n in
+        let y = back x in
+        same y x && B.hash y = B.hash x && Hashtbl.hash y = Hashtbl.hash x
+        && same (back e) e && B.hash (back e) = B.hash e
+        && Hashtbl.hash (back e) = Hashtbl.hash e);
+  ]
 
 let bigint_props =
   [
@@ -215,6 +359,26 @@ let arb_q =
     (fun (n, d) -> Q.of_ints n (1 + abs d))
     QCheck.(pair (int_range (-10000) 10000) (int_range 0 9999))
 
+(* Integers (denominator one) take Rational's fast paths; adding 1/2 or
+   halving first sends the same computation through the fraction path. *)
+let arb_q_int = QCheck.map ~rev:Q.to_bigint Q.of_bigint arb_edge
+
+let q_int_props =
+  let half = Q.of_ints 1 2 and two = Q.of_int 2 in
+  let pair = QCheck.pair arb_q_int arb_q_int in
+  [
+    prop "q integer add/sub match the fraction path" 1000 pair (fun (a, b) ->
+        Q.add a b = Q.sub (Q.add (Q.add a half) b) half
+        && Q.sub a b = Q.sub (Q.sub (Q.add a half) b) half);
+    prop "q integer mul matches the fraction path" 1000 pair (fun (a, b) ->
+        Q.mul a b = Q.mul (Q.mul a half) (Q.mul b two));
+    prop "q integer compare matches the fraction path" 1000 pair (fun (a, b) ->
+        Q.compare a b = Q.compare (Q.add a half) (Q.add b half)
+        && Q.compare a b = B.compare (Q.num a) (Q.num b));
+    prop "q make over one is of_bigint" 1000 arb_edge (fun n ->
+        Q.make n B.one = Q.of_bigint n && Q.make (B.neg n) B.minus_one = Q.of_bigint n);
+  ]
+
 let rational_props =
   [
     prop "q add commutes" 500 QCheck.(pair arb_q arb_q) (fun (a, b) ->
@@ -256,8 +420,10 @@ let () =
           Alcotest.test_case "comparison ordering" `Quick test_compare_orders;
           Alcotest.test_case "min/max" `Quick test_min_max;
           Alcotest.test_case "fits_int" `Quick test_fits_int;
+          Alcotest.test_case "hash and to_string pinned" `Quick test_hash_string_pinned;
         ] );
       ("bigint-props", bigint_props);
+      ("bigint-edges", edge_props);
       ( "rational-unit",
         [
           Alcotest.test_case "normalization" `Quick test_q_normalize;
@@ -267,4 +433,5 @@ let () =
           Alcotest.test_case "misc" `Quick test_q_misc;
         ] );
       ("rational-props", rational_props);
+      ("rational-integers", q_int_props);
     ]
